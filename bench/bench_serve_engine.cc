@@ -7,7 +7,7 @@
 //   ./build/bench/bench_serve_engine --scale 8 --queries 200000 --overwrite
 //
 // The workload is a fixed pregenerated request stream with zipf-ish user
-// skew (half the traffic on ~1/16 of users), served through TopKBatch. The
+// skew (half the traffic on ~1/16 of users), served through HandleBatch. The
 // model is BPRMF by default — scoring quality is irrelevant here; the engine
 // only ever sees the snapshot, so any trained model produces the same
 // serving load.
@@ -32,7 +32,7 @@ int Main(int argc, char** argv) {
   flags.DefineInt64("seed", 17, "base random seed");
   flags.DefineDouble("scale", 6.0, "dataset scale factor");
   flags.DefineInt64("queries", 100000, "queries per configuration");
-  flags.DefineInt64("batch", 256, "requests per TopKBatch call");
+  flags.DefineInt64("batch", 256, "requests per HandleBatch call");
   flags.DefineInt64("k", 20, "items returned per query");
   flags.DefineString("threads", "1,2,4,8", "lane counts to sweep");
   AddArtifactFlags(&flags);

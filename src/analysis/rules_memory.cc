@@ -15,9 +15,9 @@ namespace internal {
 
 /// \file
 /// Memory pack: ownership, persistence, and page discipline. Ports the
-/// regex rules from the retired tools/lint_repo.py onto real token
-/// streams (rule ids unchanged so existing NOLINT / allow markers keep
-/// working) and adds mem-mmap-deref for the store:: page contract.
+/// retired regex lint's rules onto real token streams for cgkgr_analyze
+/// (rule ids unchanged so existing NOLINT / allow markers keep working)
+/// and adds mem-mmap-deref for the store:: page contract.
 
 namespace {
 

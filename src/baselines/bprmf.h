@@ -28,10 +28,6 @@ class BprMf : public models::RecommenderModel {
                   const std::vector<int64_t>& items,
                   std::vector<float>* out) override;
 
-  /// models::RecommenderModel persistence API (see docs/checkpointing.md).
-  void SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(ckpt::Reader* reader) override;
-
   /// Read-only access to the learned tables (KGAT pre-trains from these,
   /// as the paper recommends).
   const nn::EmbeddingTable& user_table() const { return *user_table_; }
@@ -39,8 +35,6 @@ class BprMf : public models::RecommenderModel {
 
  private:
   data::PresetHyperParams hparams_;
-  bool fitted_ = false;
-  nn::ParameterStore store_;
   std::unique_ptr<nn::EmbeddingTable> user_table_;
   std::unique_ptr<nn::EmbeddingTable> item_table_;
 };

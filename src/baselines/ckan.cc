@@ -1,11 +1,8 @@
 #include "baselines/ckan.h"
 
-#include "ckpt/checkpoint.h"
 #include "autograd/ops.h"
 #include "common/macros.h"
-#include "models/parallel_trainer.h"
 #include "models/trainer_util.h"
-#include "nn/adam.h"
 
 namespace cgkgr {
 namespace baselines {
@@ -27,7 +24,7 @@ Status Ckan::Fit(const data::Dataset& dataset,
       dataset.BuildTrainGraph());
   kg_ = std::make_unique<graph::KnowledgeGraph>(dataset.BuildKnowledgeGraph());
 
-  store_ = nn::ParameterStore();
+  store_ = {};
   Rng init_rng(options.seed ^ 0x636B616E00000001ULL);
   entity_table_ = std::make_unique<nn::EmbeddingTable>(
       &store_, "entity_emb", dataset.num_entities, d, &init_rng);
@@ -38,16 +35,8 @@ Status Ckan::Fit(const data::Dataset& dataset,
   att_out_ = std::make_unique<nn::Dense>(&store_, "att_out", d, 1,
                                          nn::Activation::kIdentity, &init_rng);
 
-  nn::AdamOptions adam;
-  adam.learning_rate = hparams_.learning_rate;
-  adam.l2 = hparams_.l2;
-  nn::AdamOptimizer optimizer(store_.parameters(), adam);
+  inference_rng_ = Rng(options.seed ^ 0x636B616E0000EEEEULL);
 
-  const auto all_positives = dataset.BuildAllPositives();
-  fitted_ = true;
-  eval_rng_ = Rng(options.seed ^ 0x636B616E0000EEEEULL);
-
-  models::ParallelTrainer trainer(options, &store_, &optimizer);
   auto loss_fn = [&](const models::TrainBatch& batch, Rng* rng) {
     std::vector<int64_t> users = batch.users;
     users.insert(users.end(), batch.users.begin(), batch.users.end());
@@ -61,13 +50,9 @@ Status Ckan::Fit(const data::Dataset& dataset,
               1.0f);
     return autograd::BCEWithLogits(scores, std::move(labels));
   };
-  auto run_epoch = [&](int64_t /*epoch*/, Rng* rng) {
-    return trainer.RunEpoch(dataset.train, all_positives, dataset.num_items,
-                            rng, loss_fn);
-  };
-
-  return models::RunTrainingLoop(this, &store_, &optimizer, dataset, options,
-                                 run_epoch, &stats_);
+  return Train(dataset, options,
+               {.learning_rate = hparams_.learning_rate, .l2 = hparams_.l2},
+               loss_fn);
 }
 
 Variable Ckan::PropagateHops(const graph::NodeFlow& flow,
@@ -130,7 +115,7 @@ Variable Ckan::Forward(const std::vector<int64_t>& users,
 void Ckan::ScorePairs(const std::vector<int64_t>& users,
                       const std::vector<int64_t>& items,
                       std::vector<float>* out) {
-  CGKGR_CHECK_MSG(fitted_, "ScorePairs before Fit");
+  CGKGR_CHECK_MSG(prepared_, "ScorePairs before Fit");
   CGKGR_CHECK(users.size() == items.size() && out != nullptr);
   autograd::NoGradGuard no_grad;
   out->resize(users.size());
@@ -141,30 +126,11 @@ void Ckan::ScorePairs(const std::vector<int64_t>& users,
     const size_t end = std::min(users.size(), begin + kChunk);
     chunk_users.assign(users.begin() + begin, users.begin() + end);
     chunk_items.assign(items.begin() + begin, items.begin() + end);
-    Variable scores = Forward(chunk_users, chunk_items, &eval_rng_);
+    Variable scores = Forward(chunk_users, chunk_items, &inference_rng_);
     for (size_t i = begin; i < end; ++i) {
       (*out)[i] = scores.value()[static_cast<int64_t>(i - begin)];
     }
   }
-}
-
-// Persistence: every parameter in creation order, plus the eval RNG stream
-// under one named section (validated on load).
-void Ckan::SaveState(ckpt::Writer* writer) const {
-  CGKGR_CHECK_MSG(fitted_, "SaveState before Fit");
-  writer->BeginSection("model/" + name());
-  ckpt::WriteParameterStore(store_, writer);
-  ckpt::WriteRngState(eval_rng_, writer);
-}
-
-Status Ckan::LoadState(ckpt::Reader* reader) {
-  if (!fitted_) {
-    return Status::InvalidArgument("LoadState before Fit/Prepare: " + name());
-  }
-  CGKGR_RETURN_NOT_OK(reader->ExpectSection("model/" + name()));
-  CGKGR_RETURN_NOT_OK(ckpt::ReadParameterStore(reader, &store_));
-  CGKGR_RETURN_NOT_OK(ckpt::ReadRngState(reader, &eval_rng_));
-  return Status::OK();
 }
 
 }  // namespace baselines

@@ -33,10 +33,6 @@ class Ckan : public models::RecommenderModel {
                   const std::vector<int64_t>& items,
                   std::vector<float>* out) override;
 
-  /// models::RecommenderModel persistence API (see docs/checkpointing.md).
-  void SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(ckpt::Reader* reader) override;
-
  private:
   autograd::Variable Forward(const std::vector<int64_t>& users,
                              const std::vector<int64_t>& items, Rng* rng);
@@ -48,16 +44,13 @@ class Ckan : public models::RecommenderModel {
                                    int64_t batch);
 
   data::PresetHyperParams hparams_;
-  bool fitted_ = false;
   int64_t depth_ = 1;
   std::unique_ptr<graph::InteractionGraph> train_graph_;
   std::unique_ptr<graph::KnowledgeGraph> kg_;
-  nn::ParameterStore store_;
   std::unique_ptr<nn::EmbeddingTable> entity_table_;
   autograd::Variable relation_emb_;  // (R + 1, d)
   std::unique_ptr<nn::Dense> att_hidden_;  // (3d -> d), LeakyReLU
   std::unique_ptr<nn::Dense> att_out_;     // (d -> 1)
-  Rng eval_rng_{0};
 };
 
 }  // namespace baselines

@@ -1,11 +1,8 @@
 #include "baselines/cke.h"
 
-#include "ckpt/checkpoint.h"
 #include "autograd/ops.h"
 #include "common/macros.h"
-#include "models/parallel_trainer.h"
 #include "models/trainer_util.h"
-#include "nn/adam.h"
 
 namespace cgkgr {
 namespace baselines {
@@ -27,7 +24,7 @@ Status Cke::Fit(const data::Dataset& dataset,
   const int64_t d = hparams_.embedding_dim;
   num_entities_ = dataset.num_entities;
   kg_triplets_ = dataset.kg;
-  store_ = nn::ParameterStore();
+  store_ = {};
   Rng init_rng(options.seed ^ 0xCCE0000000000001ULL);
   user_table_ = std::make_unique<nn::EmbeddingTable>(
       &store_, "user_emb", dataset.num_users, d, &init_rng);
@@ -41,15 +38,6 @@ Status Cke::Fit(const data::Dataset& dataset,
                                      {dataset.num_relations, d, d},
                                      nn::Init::kXavierUniform, &init_rng);
 
-  nn::AdamOptions adam;
-  adam.learning_rate = hparams_.learning_rate;
-  adam.l2 = hparams_.l2;
-  nn::AdamOptimizer optimizer(store_.parameters(), adam);
-
-  const auto all_positives = dataset.BuildAllPositives();
-  fitted_ = true;
-
-  models::ParallelTrainer trainer(options, &store_, &optimizer);
   auto loss_fn = [&](const models::TrainBatch& batch, Rng* rng) {
     const size_t b = batch.users.size();
     // Recommendation part: BCE over positives and negatives.
@@ -86,13 +74,9 @@ Status Cke::Fit(const data::Dataset& dataset,
     Variable kg_loss = autograd::BPRLoss(neg_distance, pos_distance);
     return autograd::Add(loss, autograd::Scale(kg_loss, kKgLossWeight));
   };
-  auto run_epoch = [&](int64_t /*epoch*/, Rng* rng) {
-    return trainer.RunEpoch(dataset.train, all_positives, dataset.num_items,
-                            rng, loss_fn);
-  };
-
-  return models::RunTrainingLoop(this, &store_, &optimizer, dataset, options,
-                                 run_epoch, &stats_);
+  return Train(dataset, options,
+               {.learning_rate = hparams_.learning_rate, .l2 = hparams_.l2},
+               loss_fn);
 }
 
 Variable Cke::ItemRepr(const std::vector<int64_t>& items) {
@@ -116,30 +100,13 @@ Variable Cke::TransRDistance(const std::vector<int64_t>& heads,
 void Cke::ScorePairs(const std::vector<int64_t>& users,
                      const std::vector<int64_t>& items,
                      std::vector<float>* out) {
-  CGKGR_CHECK_MSG(fitted_, "ScorePairs before Fit");
+  CGKGR_CHECK_MSG(prepared_, "ScorePairs before Fit");
   CGKGR_CHECK(users.size() == items.size() && out != nullptr);
   autograd::NoGradGuard no_grad;
   Variable scores =
       autograd::RowDot(user_table_->Lookup(users), ItemRepr(items));
   out->assign(scores.value().data(),
               scores.value().data() + scores.value().size());
-}
-
-// Persistence: every parameter in creation order
-// under one named section (validated on load).
-void Cke::SaveState(ckpt::Writer* writer) const {
-  CGKGR_CHECK_MSG(fitted_, "SaveState before Fit");
-  writer->BeginSection("model/" + name());
-  ckpt::WriteParameterStore(store_, writer);
-}
-
-Status Cke::LoadState(ckpt::Reader* reader) {
-  if (!fitted_) {
-    return Status::InvalidArgument("LoadState before Fit/Prepare: " + name());
-  }
-  CGKGR_RETURN_NOT_OK(reader->ExpectSection("model/" + name()));
-  CGKGR_RETURN_NOT_OK(ckpt::ReadParameterStore(reader, &store_));
-  return Status::OK();
 }
 
 }  // namespace baselines

@@ -31,10 +31,6 @@ class Cke : public models::RecommenderModel {
                   const std::vector<int64_t>& items,
                   std::vector<float>* out) override;
 
-  /// models::RecommenderModel persistence API (see docs/checkpointing.md).
-  void SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(ckpt::Reader* reader) override;
-
  private:
   autograd::Variable ItemRepr(const std::vector<int64_t>& items);
 
@@ -44,10 +40,8 @@ class Cke : public models::RecommenderModel {
                                     const std::vector<int64_t>& tails);
 
   data::PresetHyperParams hparams_;
-  bool fitted_ = false;
   int64_t num_entities_ = 0;
   std::vector<graph::Triplet> kg_triplets_;
-  nn::ParameterStore store_;
   std::unique_ptr<nn::EmbeddingTable> user_table_;
   std::unique_ptr<nn::EmbeddingTable> item_offset_table_;
   std::unique_ptr<nn::EmbeddingTable> entity_table_;

@@ -1,11 +1,8 @@
 #include "baselines/kgat.h"
 
-#include "ckpt/checkpoint.h"
 #include "autograd/ops.h"
 #include "common/macros.h"
-#include "models/parallel_trainer.h"
 #include "models/trainer_util.h"
-#include "nn/adam.h"
 
 namespace cgkgr {
 namespace baselines {
@@ -39,7 +36,7 @@ Status Kgat::Fit(const data::Dataset& dataset,
       num_entities_ + num_users_, dataset.num_relations + 1,
       unified_triplets_);
 
-  store_ = nn::ParameterStore();
+  store_ = {};
   Rng init_rng(options.seed ^ 0x6B67617400000001ULL);
   node_table_ = std::make_unique<nn::EmbeddingTable>(
       &store_, "node_emb", num_entities_ + num_users_, d, &init_rng);
@@ -60,17 +57,9 @@ Status Kgat::Fit(const data::Dataset& dataset,
         nn::Activation::kLeakyRelu, &init_rng));
   }
 
-  nn::AdamOptions adam;
-  adam.learning_rate = hparams_.learning_rate;
-  adam.l2 = hparams_.l2;
-  nn::AdamOptimizer optimizer(store_.parameters(), adam);
-
-  const auto all_positives = dataset.BuildAllPositives();
-  fitted_ = true;
-  eval_rng_ = Rng(options.seed ^ 0x6B6761740000EEEEULL);
+  inference_rng_ = Rng(options.seed ^ 0x6B6761740000EEEEULL);
 
   bool pretrain = false;  // epoch 1: BPRMF-style warm start
-  models::ParallelTrainer trainer(options, &store_, &optimizer);
   auto loss_fn = [&](const models::TrainBatch& batch, Rng* rng) {
     const size_t b = batch.users.size();
     std::vector<int64_t> user_nodes;
@@ -110,20 +99,18 @@ Status Kgat::Fit(const data::Dataset& dataset,
                                          TransRDistance(heads, rels, tails));
     return autograd::Add(loss, autograd::Scale(kg_loss, kKgLossWeight));
   };
-  auto run_epoch = [&](int64_t epoch, Rng* rng) {
+  auto epoch_setup = [&](int64_t epoch,
+                         analysis::TapeLintOptions* lint_options) {
     // Derived from the loop's true epoch number (not a captured counter) so
     // the warm-up stage is not replayed after a checkpoint resume.
     pretrain = epoch == 1;
     // The warm-up epoch intentionally bypasses Propagate, so the
     // bi-interaction layers are declared frozen for lint purposes.
-    analysis::TapeLintOptions lint_options;
-    if (pretrain) lint_options.expected_frozen = {"bi_add/", "bi_mul/"};
-    return trainer.RunEpoch(dataset.train, all_positives, dataset.num_items,
-                            rng, loss_fn, lint_options);
+    if (pretrain) lint_options->expected_frozen = {"bi_add/", "bi_mul/"};
   };
-
-  return models::RunTrainingLoop(this, &store_, &optimizer, dataset, options,
-                                 run_epoch, &stats_);
+  return Train(dataset, options,
+               {.learning_rate = hparams_.learning_rate, .l2 = hparams_.l2},
+               loss_fn, epoch_setup);
 }
 
 Variable Kgat::Propagate(const std::vector<int64_t>& nodes, Rng* rng) {
@@ -182,7 +169,7 @@ Variable Kgat::TransRDistance(const std::vector<int64_t>& heads,
 void Kgat::ScorePairs(const std::vector<int64_t>& users,
                       const std::vector<int64_t>& items,
                       std::vector<float>* out) {
-  CGKGR_CHECK_MSG(fitted_, "ScorePairs before Fit");
+  CGKGR_CHECK_MSG(prepared_, "ScorePairs before Fit");
   CGKGR_CHECK(users.size() == items.size() && out != nullptr);
   autograd::NoGradGuard no_grad;
   out->resize(users.size());
@@ -195,32 +182,13 @@ void Kgat::ScorePairs(const std::vector<int64_t>& users,
     for (size_t i = begin; i < end; ++i) user_nodes.push_back(
         UserNode(users[i]));
     chunk_items.assign(items.begin() + begin, items.begin() + end);
-    Variable vu = Propagate(user_nodes, &eval_rng_);
-    Variable vi = Propagate(chunk_items, &eval_rng_);
+    Variable vu = Propagate(user_nodes, &inference_rng_);
+    Variable vi = Propagate(chunk_items, &inference_rng_);
     Variable scores = autograd::RowDot(vu, vi);
     for (size_t i = begin; i < end; ++i) {
       (*out)[i] = scores.value()[static_cast<int64_t>(i - begin)];
     }
   }
-}
-
-// Persistence: every parameter in creation order, plus the eval RNG stream
-// under one named section (validated on load).
-void Kgat::SaveState(ckpt::Writer* writer) const {
-  CGKGR_CHECK_MSG(fitted_, "SaveState before Fit");
-  writer->BeginSection("model/" + name());
-  ckpt::WriteParameterStore(store_, writer);
-  ckpt::WriteRngState(eval_rng_, writer);
-}
-
-Status Kgat::LoadState(ckpt::Reader* reader) {
-  if (!fitted_) {
-    return Status::InvalidArgument("LoadState before Fit/Prepare: " + name());
-  }
-  CGKGR_RETURN_NOT_OK(reader->ExpectSection("model/" + name()));
-  CGKGR_RETURN_NOT_OK(ckpt::ReadParameterStore(reader, &store_));
-  CGKGR_RETURN_NOT_OK(ckpt::ReadRngState(reader, &eval_rng_));
-  return Status::OK();
 }
 
 }  // namespace baselines

@@ -40,10 +40,6 @@ class Kgat : public models::RecommenderModel {
                   const std::vector<int64_t>& items,
                   std::vector<float>* out) override;
 
-  /// models::RecommenderModel persistence API (see docs/checkpointing.md).
-  void SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(ckpt::Reader* reader) override;
-
  private:
   /// Node id of a user in the unified graph (entities come first).
   int64_t UserNode(int64_t user) const { return num_entities_ + user; }
@@ -58,18 +54,15 @@ class Kgat : public models::RecommenderModel {
                                     const std::vector<int64_t>& tails);
 
   data::PresetHyperParams hparams_;
-  bool fitted_ = false;
   int64_t num_entities_ = 0;
   int64_t num_users_ = 0;
   std::unique_ptr<graph::KnowledgeGraph> unified_;
   std::vector<graph::Triplet> unified_triplets_;
-  nn::ParameterStore store_;
   std::unique_ptr<nn::EmbeddingTable> node_table_;  // entities then users
   autograd::Variable relation_emb_;       // (R + 2, d)
   autograd::Variable relation_matrices_;  // (R + 2, d, d)
   std::vector<std::unique_ptr<nn::Dense>> w1_;  // bi-interaction, per hop
   std::vector<std::unique_ptr<nn::Dense>> w2_;
-  Rng eval_rng_{0};
 };
 
 }  // namespace baselines

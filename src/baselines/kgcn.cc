@@ -1,11 +1,8 @@
 #include "baselines/kgcn.h"
 
-#include "ckpt/checkpoint.h"
 #include "autograd/ops.h"
 #include "common/macros.h"
-#include "models/parallel_trainer.h"
 #include "models/trainer_util.h"
-#include "nn/adam.h"
 
 namespace cgkgr {
 namespace baselines {
@@ -28,7 +25,7 @@ Status Kgcn::Fit(const data::Dataset& dataset,
       dataset.BuildTrainGraph());
   kg_ = std::make_unique<graph::KnowledgeGraph>(dataset.BuildKnowledgeGraph());
 
-  store_ = nn::ParameterStore();
+  store_ = {};
   Rng init_rng(options.seed ^ 0x6B67636E00000001ULL);
   user_table_ = std::make_unique<nn::EmbeddingTable>(
       &store_, "user_emb", dataset.num_users, d, &init_rng);
@@ -44,28 +41,16 @@ Status Kgcn::Fit(const data::Dataset& dataset,
         &store_, "layer/hop" + std::to_string(l), d, d, act, &init_rng));
   }
 
-  nn::AdamOptions adam;
-  adam.learning_rate = hparams_.learning_rate;
-  adam.l2 = hparams_.l2;
-  nn::AdamOptimizer optimizer(store_.parameters(), adam);
+  inference_rng_ = Rng(options.seed ^ 0x6B67636E0000EEEEULL);
 
-  const auto all_positives = dataset.BuildAllPositives();
-  fitted_ = true;
-  eval_rng_ = Rng(options.seed ^ 0x6B67636E0000EEEEULL);
-
-  models::ParallelTrainer trainer(options, &store_, &optimizer);
   // ComputeBatchLoss is virtual: KGNN-LS rides this same loop with its
   // label-smoothness term added.
   auto loss_fn = [&](const models::TrainBatch& batch, Rng* rng) {
     return ComputeBatchLoss(batch, rng);
   };
-  auto run_epoch = [&](int64_t /*epoch*/, Rng* rng) {
-    return trainer.RunEpoch(dataset.train, all_positives, dataset.num_items,
-                            rng, loss_fn);
-  };
-
-  return models::RunTrainingLoop(this, &store_, &optimizer, dataset, options,
-                                 run_epoch, &stats_);
+  return Train(dataset, options,
+               {.learning_rate = hparams_.learning_rate, .l2 = hparams_.l2},
+               loss_fn);
 }
 
 Variable Kgcn::ComputeBatchLoss(const models::TrainBatch& batch, Rng* rng) {
@@ -187,7 +172,7 @@ Variable Kgcn::Forward(const std::vector<int64_t>& users,
 void Kgcn::ScorePairs(const std::vector<int64_t>& users,
                       const std::vector<int64_t>& items,
                       std::vector<float>* out) {
-  CGKGR_CHECK_MSG(fitted_, "ScorePairs before Fit");
+  CGKGR_CHECK_MSG(prepared_, "ScorePairs before Fit");
   CGKGR_CHECK(users.size() == items.size() && out != nullptr);
   autograd::NoGradGuard no_grad;
   out->resize(users.size());
@@ -198,30 +183,12 @@ void Kgcn::ScorePairs(const std::vector<int64_t>& users,
     const size_t end = std::min(users.size(), begin + kChunk);
     chunk_users.assign(users.begin() + begin, users.begin() + end);
     chunk_items.assign(items.begin() + begin, items.begin() + end);
-    Variable scores = Forward(chunk_users, chunk_items, &eval_rng_, nullptr);
+    Variable scores =
+        Forward(chunk_users, chunk_items, &inference_rng_, nullptr);
     for (size_t i = begin; i < end; ++i) {
       (*out)[i] = scores.value()[static_cast<int64_t>(i - begin)];
     }
   }
-}
-
-// Persistence: every parameter in creation order, plus the eval RNG stream
-// under one named section (validated on load).
-void Kgcn::SaveState(ckpt::Writer* writer) const {
-  CGKGR_CHECK_MSG(fitted_, "SaveState before Fit");
-  writer->BeginSection("model/" + name());
-  ckpt::WriteParameterStore(store_, writer);
-  ckpt::WriteRngState(eval_rng_, writer);
-}
-
-Status Kgcn::LoadState(ckpt::Reader* reader) {
-  if (!fitted_) {
-    return Status::InvalidArgument("LoadState before Fit/Prepare: " + name());
-  }
-  CGKGR_RETURN_NOT_OK(reader->ExpectSection("model/" + name()));
-  CGKGR_RETURN_NOT_OK(ckpt::ReadParameterStore(reader, &store_));
-  CGKGR_RETURN_NOT_OK(ckpt::ReadRngState(reader, &eval_rng_));
-  return Status::OK();
 }
 
 }  // namespace baselines

@@ -34,10 +34,6 @@ class Kgcn : public models::RecommenderModel {
                   const std::vector<int64_t>& items,
                   std::vector<float>* out) override;
 
-  /// models::RecommenderModel persistence API (see docs/checkpointing.md).
-  void SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(ckpt::Reader* reader) override;
-
  protected:
   /// Scores for a sampled batch. When `ls_prediction` is non-null (used by
   /// the KGNN-LS subclass), the label-propagation estimate of the seed
@@ -52,15 +48,12 @@ class Kgcn : public models::RecommenderModel {
 
   data::PresetHyperParams hparams_;
   std::string name_;
-  bool fitted_ = false;
   std::unique_ptr<graph::InteractionGraph> train_graph_;
   std::unique_ptr<graph::KnowledgeGraph> kg_;
-  nn::ParameterStore store_;
   std::unique_ptr<nn::EmbeddingTable> user_table_;
   std::unique_ptr<nn::EmbeddingTable> entity_table_;
   autograd::Variable relation_emb_;  // (R + 1, d)
   std::vector<std::unique_ptr<nn::Dense>> layers_;  // [0] = final hop
-  Rng eval_rng_{0};
 };
 
 }  // namespace baselines

@@ -30,17 +30,11 @@ class Nfm : public models::RecommenderModel {
                   const std::vector<int64_t>& items,
                   std::vector<float>* out) override;
 
-  /// models::RecommenderModel persistence API (see docs/checkpointing.md).
-  void SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(ckpt::Reader* reader) override;
-
  private:
   autograd::Variable Forward(const std::vector<int64_t>& users,
                              const std::vector<int64_t>& items);
 
   data::PresetHyperParams hparams_;
-  bool fitted_ = false;
-  nn::ParameterStore store_;
   std::unique_ptr<nn::EmbeddingTable> user_table_;
   std::unique_ptr<nn::EmbeddingTable> item_table_;
   autograd::Variable user_bias_;  // (num_users, 1)

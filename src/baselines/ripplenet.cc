@@ -1,11 +1,8 @@
 #include "baselines/ripplenet.h"
 
-#include "ckpt/checkpoint.h"
 #include "autograd/ops.h"
 #include "common/macros.h"
-#include "models/parallel_trainer.h"
 #include "models/trainer_util.h"
-#include "nn/adam.h"
 
 namespace cgkgr {
 namespace baselines {
@@ -58,7 +55,7 @@ Status RippleNet::Fit(const data::Dataset& dataset,
   }
 
   // --- parameters ---
-  store_ = nn::ParameterStore();
+  store_ = {};
   Rng init_rng(options.seed ^ 0x2121212121212121ULL);
   entity_table_ = std::make_unique<nn::EmbeddingTable>(
       &store_, "entity_emb", dataset.num_entities, d, &init_rng);
@@ -66,15 +63,6 @@ Status RippleNet::Fit(const data::Dataset& dataset,
       store_.Create("relation_mat", {kg.relation_id_space(), d, d},
                     nn::Init::kXavierUniform, &init_rng);
 
-  nn::AdamOptions adam;
-  adam.learning_rate = hparams_.learning_rate;
-  adam.l2 = hparams_.l2;
-  nn::AdamOptimizer optimizer(store_.parameters(), adam);
-
-  const auto all_positives = dataset.BuildAllPositives();
-  fitted_ = true;
-
-  models::ParallelTrainer trainer(options, &store_, &optimizer);
   auto loss_fn = [&](const models::TrainBatch& batch, Rng* /*rng*/) {
     std::vector<int64_t> users = batch.users;
     users.insert(users.end(), batch.users.begin(), batch.users.end());
@@ -88,13 +76,9 @@ Status RippleNet::Fit(const data::Dataset& dataset,
               1.0f);
     return autograd::BCEWithLogits(scores, std::move(labels));
   };
-  auto run_epoch = [&](int64_t /*epoch*/, Rng* rng) {
-    return trainer.RunEpoch(dataset.train, all_positives, dataset.num_items,
-                            rng, loss_fn);
-  };
-
-  return models::RunTrainingLoop(this, &store_, &optimizer, dataset, options,
-                                 run_epoch, &stats_);
+  return Train(dataset, options,
+               {.learning_rate = hparams_.learning_rate, .l2 = hparams_.l2},
+               loss_fn);
 }
 
 Variable RippleNet::Forward(const std::vector<int64_t>& users,
@@ -131,7 +115,7 @@ Variable RippleNet::Forward(const std::vector<int64_t>& users,
 void RippleNet::ScorePairs(const std::vector<int64_t>& users,
                            const std::vector<int64_t>& items,
                            std::vector<float>* out) {
-  CGKGR_CHECK_MSG(fitted_, "ScorePairs before Fit");
+  CGKGR_CHECK_MSG(prepared_, "ScorePairs before Fit");
   CGKGR_CHECK(users.size() == items.size() && out != nullptr);
   autograd::NoGradGuard no_grad;
   out->resize(users.size());
@@ -147,23 +131,6 @@ void RippleNet::ScorePairs(const std::vector<int64_t>& users,
       (*out)[i] = scores.value()[static_cast<int64_t>(i - begin)];
     }
   }
-}
-
-// Persistence: every parameter in creation order
-// under one named section (validated on load).
-void RippleNet::SaveState(ckpt::Writer* writer) const {
-  CGKGR_CHECK_MSG(fitted_, "SaveState before Fit");
-  writer->BeginSection("model/" + name());
-  ckpt::WriteParameterStore(store_, writer);
-}
-
-Status RippleNet::LoadState(ckpt::Reader* reader) {
-  if (!fitted_) {
-    return Status::InvalidArgument("LoadState before Fit/Prepare: " + name());
-  }
-  CGKGR_RETURN_NOT_OK(reader->ExpectSection("model/" + name()));
-  CGKGR_RETURN_NOT_OK(ckpt::ReadParameterStore(reader, &store_));
-  return Status::OK();
 }
 
 }  // namespace baselines

@@ -31,10 +31,6 @@ class RippleNet : public models::RecommenderModel {
                   const std::vector<int64_t>& items,
                   std::vector<float>* out) override;
 
-  /// models::RecommenderModel persistence API (see docs/checkpointing.md).
-  void SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(ckpt::Reader* reader) override;
-
  private:
   /// Per-user, per-hop fixed-size triplet memory.
   struct RippleSet {
@@ -47,12 +43,10 @@ class RippleNet : public models::RecommenderModel {
                              const std::vector<int64_t>& items);
 
   data::PresetHyperParams hparams_;
-  bool fitted_ = false;
   int64_t num_hops_ = 2;
   int64_t memory_size_ = 16;
   /// ripple_sets_[user][hop]
   std::vector<std::vector<RippleSet>> ripple_sets_;
-  nn::ParameterStore store_;
   std::unique_ptr<nn::EmbeddingTable> entity_table_;
   autograd::Variable relation_matrices_;  // (R + 1, d, d)
 };

@@ -4,11 +4,7 @@
 
 #include "autograd/ops.h"
 #include "common/macros.h"
-#include "models/parallel_trainer.h"
 #include "models/trainer_util.h"
-#include "ckpt/checkpoint.h"
-#include "ckpt/io.h"
-#include "common/logging.h"
 #include "obs/trace.h"
 
 namespace cgkgr {
@@ -37,7 +33,7 @@ Status CgKgrModel::Prepare(const data::Dataset& dataset, uint64_t seed) {
 
   // --- parameter construction ---
   const int64_t d = config_.embedding_dim;
-  store_ = nn::ParameterStore();
+  store_ = {};
   interact_heads_.clear();
   kg_heads_.clear();
   agg_kg_.clear();
@@ -85,53 +81,16 @@ Status CgKgrModel::Prepare(const data::Dataset& dataset, uint64_t seed) {
         &store_, "agg_kg/hop" + std::to_string(l), agg_in, d, act,
         &init_rng));
   }
-  fitted_ = true;
-  eval_seed_ = seed ^ 0x7777777777777777ULL;
+  prepared_ = true;
+  // ScorePairs copies this stream at the start of every call, so identical
+  // calls on an identical model score identically.
+  inference_rng_ = Rng(seed ^ 0x7777777777777777ULL);
   return Status::OK();
-}
-
-// Persistence: every parameter in creation order under one named section
-// (validated on load). ScorePairs reseeds its sampling stream per call from
-// eval_seed_, so there is no stateful inference RNG to serialize.
-void CgKgrModel::SaveState(ckpt::Writer* writer) const {
-  CGKGR_CHECK_MSG(fitted_, "SaveState before Prepare/Fit");
-  writer->BeginSection("model/" + name());
-  ckpt::WriteParameterStore(store_, writer);
-}
-
-Status CgKgrModel::LoadState(ckpt::Reader* reader) {
-  if (!fitted_) {
-    return Status::InvalidArgument("LoadState before Prepare/Fit: " + name());
-  }
-  CGKGR_RETURN_NOT_OK(reader->ExpectSection("model/" + name()));
-  return ckpt::ReadParameterStore(reader, &store_);
-}
-
-Status CgKgrModel::SaveParameters(const std::string& path) const {
-  if (!fitted_) {
-    return Status::InvalidArgument("SaveParameters before Prepare/Fit");
-  }
-  return models::SaveModelState(*this, path);
-}
-
-Status CgKgrModel::LoadParameters(const std::string& path) {
-  if (!fitted_) {
-    return Status::InvalidArgument("LoadParameters before Prepare/Fit");
-  }
-  return models::LoadModelState(this, path);
 }
 
 Status CgKgrModel::Fit(const data::Dataset& dataset,
                        const models::TrainOptions& options) {
   CGKGR_RETURN_NOT_OK(Prepare(dataset, options.seed));
-
-  nn::AdamOptions adam;
-  adam.learning_rate = config_.learning_rate;
-  adam.l2 = config_.l2;
-  nn::AdamOptimizer optimizer(store_.parameters(), adam);
-
-  const auto all_positives = dataset.BuildAllPositives();
-  models::ParallelTrainer trainer(options, &store_, &optimizer);
 
   // Per-shard loss; runs concurrently, reads only shared model state and
   // draws all randomness from the shard-private rng.
@@ -155,13 +114,9 @@ Status CgKgrModel::Fit(const data::Dataset& dataset,
               1.0f);
     return autograd::BCEWithLogits(scores, std::move(labels));
   };
-  auto run_epoch = [&](int64_t /*epoch*/, Rng* rng) {
-    return trainer.RunEpoch(dataset.train, all_positives, dataset.num_items,
-                            rng, loss_fn);
-  };
-
-  return models::RunTrainingLoop(this, &store_, &optimizer, dataset, options,
-                                 run_epoch, &stats_);
+  return Train(dataset, options,
+               {.learning_rate = config_.learning_rate, .l2 = config_.l2},
+               loss_fn);
 }
 
 CgKgrModel::BatchGraph CgKgrModel::SampleBatch(
@@ -236,7 +191,7 @@ Variable CgKgrModel::EncodeGuidance(const Variable& vu,
 
 Variable CgKgrModel::Forward(const BatchGraph& batch,
                              std::vector<float>* capture_hop1_attention) {
-  CGKGR_CHECK_MSG(fitted_, "Forward before Fit");
+  CGKGR_CHECK_MSG(prepared_, "Forward before Fit");
   const int64_t batch_size = static_cast<int64_t>(batch.users.size());
   const int64_t d = config_.embedding_dim;
 
@@ -348,10 +303,10 @@ Variable CgKgrModel::Forward(const BatchGraph& batch,
 void CgKgrModel::ScorePairs(const std::vector<int64_t>& users,
                             const std::vector<int64_t>& items,
                             std::vector<float>* out) {
-  CGKGR_CHECK_MSG(fitted_, "ScorePairs before Fit");
+  CGKGR_CHECK_MSG(prepared_, "ScorePairs before Fit");
   CGKGR_CHECK(users.size() == items.size() && out != nullptr);
   autograd::NoGradGuard no_grad;
-  Rng rng(eval_seed_);
+  Rng rng = inference_rng_;
   out->resize(users.size());
   constexpr size_t kChunk = 1024;
   std::vector<int64_t> chunk_users;
@@ -376,7 +331,7 @@ void CgKgrModel::ScorePairs(const std::vector<int64_t>& users,
 
 CgKgrModel::AttentionInspection CgKgrModel::InspectKnowledgeAttention(
     int64_t user, int64_t item, uint64_t seed) {
-  CGKGR_CHECK_MSG(fitted_, "InspectKnowledgeAttention before Fit");
+  CGKGR_CHECK_MSG(prepared_, "InspectKnowledgeAttention before Fit");
   CGKGR_CHECK_MSG(config_.depth >= 1 && config_.use_knowledge_attention,
                   "attention inspection requires depth >= 1 and attention on");
   autograd::NoGradGuard no_grad;

@@ -10,7 +10,6 @@
 #include "graph/sampler.h"
 #include "models/recommender.h"
 #include "models/trainer_util.h"
-#include "nn/adam.h"
 #include "nn/dense.h"
 #include "nn/embedding.h"
 
@@ -45,21 +44,12 @@ class CgKgrModel : public models::RecommenderModel {
                   const std::vector<int64_t>& items,
                   std::vector<float>* out) override;
 
-  /// models::RecommenderModel persistence API (see docs/checkpointing.md).
-  void SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(ckpt::Reader* reader) override;
-
   /// Builds graphs and (seed-initialized) parameters without training.
-  /// Fit() calls this internally; call it directly before LoadState() /
+  /// Fit() calls this internally; call it directly before
   /// models::LoadModelState() to restore a previously trained model
-  /// without retraining.
+  /// without retraining. The loaded state carries the trained model's
+  /// inference sampling stream, so the Prepare seed need not match.
   Status Prepare(const data::Dataset& dataset, uint64_t seed);
-
-  /// Deprecated: thin wrapper over models::SaveModelState(*this, path).
-  Status SaveParameters(const std::string& path) const;
-
-  /// Deprecated: thin wrapper over models::LoadModelState(this, path).
-  Status LoadParameters(const std::string& path);
 
   /// The configuration this model was built with.
   const CgKgrConfig& config() const { return config_; }
@@ -111,13 +101,11 @@ class CgKgrModel : public models::RecommenderModel {
   CgKgrConfig config_;
   std::string name_;
 
-  // Populated by Fit().
-  bool fitted_ = false;
+  // Populated by Prepare().
   int64_t num_users_ = 0;
   int64_t num_items_ = 0;
   std::unique_ptr<graph::InteractionGraph> train_graph_;
   std::unique_ptr<graph::KnowledgeGraph> kg_;
-  nn::ParameterStore store_;
   std::unique_ptr<nn::EmbeddingTable> user_table_;
   std::unique_ptr<nn::EmbeddingTable> entity_table_;
   /// Per-head M_{r*} transforms for the collaboration attention (Eq. 1).
@@ -128,9 +116,6 @@ class CgKgrModel : public models::RecommenderModel {
   std::unique_ptr<nn::Dense> agg_user_;
   std::unique_ptr<nn::Dense> agg_item_;
   std::vector<std::unique_ptr<nn::Dense>> agg_kg_;  // one per hop, [0]=hop 1
-  /// Seed for inference-time sampling; ScorePairs draws a fresh stream per
-  /// call, so identical calls on an identical model score identically.
-  uint64_t eval_seed_ = 0;
 };
 
 }  // namespace core

@@ -21,12 +21,26 @@ Status WriteInteractions(const std::vector<graph::Interaction>& split,
   return out ? Status::OK() : Status::IOError("write failed: " + path);
 }
 
-Status ReadInteractions(const std::string& path,
+/// InvalidArgument naming `path` and the 1-based `line` when `id` lies
+/// outside [0, count).
+Status CheckId(const std::string& path, int64_t line, const char* what,
+               int64_t id, int64_t count) {
+  if (id >= 0 && id < count) return Status::OK();
+  return Status::InvalidArgument(StrFormat(
+      "%s:%lld: %s %lld out of range [0, %lld) set by meta.tsv",
+      path.c_str(), static_cast<long long>(line), what,
+      static_cast<long long>(id), static_cast<long long>(count)));
+}
+
+Status ReadInteractions(const std::string& path, int64_t num_users,
+                        int64_t num_items,
                         std::vector<graph::Interaction>* split) {
   std::ifstream in(path);
   if (!in) return Status::IOError("cannot open " + path);
   std::string line;
+  int64_t line_no = 0;
   while (std::getline(in, line)) {
+    ++line_no;
     if (Trim(line).empty()) continue;
     const auto fields = Split(line, '\t');
     int64_t user = 0;
@@ -36,6 +50,8 @@ Status ReadInteractions(const std::string& path,
       return Status::IOError("malformed interaction line in " + path + ": " +
                              line);
     }
+    CGKGR_RETURN_NOT_OK(CheckId(path, line_no, "user", user, num_users));
+    CGKGR_RETURN_NOT_OK(CheckId(path, line_no, "item", item, num_items));
     split->push_back({user, item});
   }
   return Status::OK();
@@ -88,13 +104,21 @@ Result<Dataset> LoadDataset(const std::string& dir) {
       }
     }
   }
-  CGKGR_RETURN_NOT_OK(ReadInteractions(dir + "/train.tsv", &dataset.train));
-  CGKGR_RETURN_NOT_OK(ReadInteractions(dir + "/eval.tsv", &dataset.eval));
-  CGKGR_RETURN_NOT_OK(ReadInteractions(dir + "/test.tsv", &dataset.test));
-  std::ifstream kg_in(dir + "/kg.tsv");
-  if (!kg_in) return Status::IOError("cannot open " + dir + "/kg.tsv");
+  const int64_t users = dataset.num_users;
+  const int64_t items = dataset.num_items;
+  CGKGR_RETURN_NOT_OK(
+      ReadInteractions(dir + "/train.tsv", users, items, &dataset.train));
+  CGKGR_RETURN_NOT_OK(
+      ReadInteractions(dir + "/eval.tsv", users, items, &dataset.eval));
+  CGKGR_RETURN_NOT_OK(
+      ReadInteractions(dir + "/test.tsv", users, items, &dataset.test));
+  const std::string kg_path = dir + "/kg.tsv";
+  std::ifstream kg_in(kg_path);
+  if (!kg_in) return Status::IOError("cannot open " + kg_path);
   std::string line;
+  int64_t line_no = 0;
   while (std::getline(kg_in, line)) {
+    ++line_no;
     if (Trim(line).empty()) continue;
     const auto fields = Split(line, '\t');
     int64_t head = 0;
@@ -104,6 +128,12 @@ Result<Dataset> LoadDataset(const std::string& dir) {
         !ParseInt64(fields[1], &relation) || !ParseInt64(fields[2], &tail)) {
       return Status::IOError("malformed kg line: " + line);
     }
+    CGKGR_RETURN_NOT_OK(
+        CheckId(kg_path, line_no, "head", head, dataset.num_entities));
+    CGKGR_RETURN_NOT_OK(CheckId(kg_path, line_no, "relation", relation,
+                                dataset.num_relations));
+    CGKGR_RETURN_NOT_OK(
+        CheckId(kg_path, line_no, "tail", tail, dataset.num_entities));
     dataset.kg.push_back({head, relation, tail});
   }
   return dataset;

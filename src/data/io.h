@@ -17,7 +17,9 @@ namespace data {
 /// The directory must already exist.
 Status SaveDataset(const Dataset& dataset, const std::string& dir);
 
-/// Loads a dataset previously written by SaveDataset.
+/// Loads a dataset previously written by SaveDataset. Every user, item,
+/// entity and relation ID is checked against the meta.tsv counts; one out
+/// of range is InvalidArgument naming the file and the 1-based line.
 Result<Dataset> LoadDataset(const std::string& dir);
 
 }  // namespace data

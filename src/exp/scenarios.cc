@@ -169,7 +169,7 @@ Status RunTrainCase(const CaseSpec& spec, uint64_t seed,
 
 /// serve: trains once per trial, freezes a snapshot, then sweeps
 /// cache x threads over one fixed zipf-skewed request stream (half the
-/// traffic on ~1/16 of users) through Engine::TopKBatch.
+/// traffic on ~1/16 of users) through Engine::HandleBatch.
 Status RunServeCase(const CaseSpec& spec, uint64_t seed,
                     const RunnerOptions& options,
                     std::vector<CaseResult>* rows) {

@@ -5,9 +5,13 @@
 #include <string>
 #include <vector>
 
+#include "analysis/tape_lint.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "data/dataset.h"
 #include "eval/protocol.h"
+#include "nn/adam.h"
+#include "nn/parameter.h"
 
 namespace cgkgr {
 
@@ -17,6 +21,8 @@ class Reader;
 }  // namespace ckpt
 
 namespace models {
+
+struct TrainBatch;
 
 /// Which eval-split metric drives early stopping. The paper tunes per
 /// task: ranking runs stop on Recall@20, CTR runs on AUC.
@@ -130,6 +136,11 @@ struct TrainStats {
 /// Common interface for CG-KGR and all baselines: train on a dataset, then
 /// score arbitrary (user, item) pairs. Implementations restore their
 /// best-epoch parameters before Fit() returns.
+///
+/// The base class owns what every model's state is — the parameter store,
+/// the prepared flag and the inference-sampling RNG — and persists it once
+/// for all models; a model's Fit() only builds its parameters and its
+/// per-shard loss, then hands both to Train().
 class RecommenderModel : public eval::PairScorer {
  public:
   ~RecommenderModel() override = default;
@@ -141,28 +152,51 @@ class RecommenderModel : public eval::PairScorer {
   virtual Status Fit(const data::Dataset& dataset,
                      const TrainOptions& options) = 0;
 
-  /// Serializes the model's trained state (parameters plus any stateful
-  /// inference RNG) into `writer`. This is the single persistence surface
-  /// for every model — trainer checkpoints, standalone model files
+  /// Serializes the model's trained state into `writer`: one
+  /// "model/<name()>" section holding the parameters in creation order,
+  /// then the inference RNG. This is the single persistence surface for
+  /// every model — trainer checkpoints, standalone model files
   /// (SaveModelState), and serve-side export all go through it. Requires a
   /// fitted/prepared model.
-  virtual void SaveState(ckpt::Writer* writer) const = 0;
+  void SaveState(ckpt::Writer* writer) const;
 
   /// Restores state written by SaveState into a model that was
   /// constructed/prepared identically (same hyper-parameters and dataset
   /// dimensions; names and shapes are validated).
-  virtual Status LoadState(ckpt::Reader* reader) = 0;
+  Status LoadState(ckpt::Reader* reader);
+
+  /// True once Fit() (or a model's own Prepare()) has built the parameters.
+  bool prepared() const { return prepared_; }
 
   /// Training statistics of the last Fit().
   const TrainStats& train_stats() const { return stats_; }
 
  protected:
+  /// Per-shard training loss; the ParallelTrainer::LossFn signature.
+  using LossFn = std::function<autograd::Variable(const TrainBatch&, Rng*)>;
+  /// Called with the 1-based epoch number before each epoch; may fill that
+  /// epoch's tape-lint exemptions (KGAT's warm-up epoch).
+  using EpochSetupFn =
+      std::function<void(int64_t epoch, analysis::TapeLintOptions*)>;
+
+  /// The shared Fit() tail, run once store_ holds the model's parameters:
+  /// marks the model prepared, builds the Adam optimizer, the all-positives
+  /// lists and a ParallelTrainer over `loss_fn`, and runs RunTrainingLoop
+  /// into stats_.
+  Status Train(const data::Dataset& dataset, const TrainOptions& options,
+               const nn::AdamOptions& adam, const LossFn& loss_fn,
+               const EpochSetupFn& epoch_setup = {});
+
+  nn::ParameterStore store_;
+  bool prepared_ = false;
+  /// Inference-time sampling stream (unused by deterministic scorers).
+  Rng inference_rng_{0};
   TrainStats stats_;
 };
 
 /// Writes `model`'s SaveState output to `path` as a framed, CRC-validated
-/// checkpoint file (atomic publish). The standalone save/load entry points
-/// that replaced the ad-hoc nn::SaveParameters call sites.
+/// checkpoint file (atomic publish). InvalidArgument before the model is
+/// prepared.
 Status SaveModelState(const RecommenderModel& model, const std::string& path);
 
 /// Loads a file written by SaveModelState into `model` (which must be

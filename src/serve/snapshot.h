@@ -48,10 +48,6 @@ struct SnapshotBuildOptions {
   int64_t chunk_size = 4096;
 };
 
-/// \deprecated Old spelling of SnapshotBuildOptions; kept for source
-/// compatibility with pre-redesign call sites.
-using BuildSnapshotOptions = SnapshotBuildOptions;
-
 /// Batch-scores every (user, item) pair of the dataset through the trained
 /// model and packages the result with train-split seen lists.
 Snapshot BuildSnapshot(models::RecommenderModel* model,

@@ -241,19 +241,19 @@ TEST(AblationTest, FullModelBeatsNoInteractiveSummarization) {
 
 TEST(CgKgrModelTest, SaveLoadReproducesScores) {
   const data::Dataset d = TestDataset();
-  const std::string path = "/tmp/cgkgr_model_test.params";
+  const std::string path = ::testing::TempDir() + "/cgkgr_model_test.ckpt";
   std::vector<float> trained_scores;
   {
     CgKgrModel model(SmallModelConfig());
     ASSERT_TRUE(model.Fit(d, QuickTrain(4)).ok());
-    ASSERT_TRUE(model.SaveParameters(path).ok());
+    ASSERT_TRUE(models::SaveModelState(model, path).ok());
     model.ScorePairs({0, 1, 2}, {3, 4, 5}, &trained_scores);
   }
   CgKgrModel restored(SmallModelConfig());
-  // Prepare with the same seed reproduces eval sampling streams, then the
-  // loaded parameters reproduce the trained scores exactly.
+  // Prepare rebuilds the graphs and parameter shapes; the loaded state
+  // reproduces the trained parameters and inference sampling exactly.
   ASSERT_TRUE(restored.Prepare(d, QuickTrain(4).seed).ok());
-  ASSERT_TRUE(restored.LoadParameters(path).ok());
+  ASSERT_TRUE(models::LoadModelState(&restored, path).ok());
   std::vector<float> restored_scores;
   restored.ScorePairs({0, 1, 2}, {3, 4, 5}, &restored_scores);
   ASSERT_EQ(restored_scores.size(), trained_scores.size());
@@ -264,8 +264,8 @@ TEST(CgKgrModelTest, SaveLoadReproducesScores) {
 
 TEST(CgKgrModelTest, SaveBeforePrepareFails) {
   CgKgrModel model(SmallModelConfig());
-  EXPECT_FALSE(model.SaveParameters("/tmp/nope.params").ok());
-  EXPECT_FALSE(model.LoadParameters("/tmp/nope.params").ok());
+  EXPECT_FALSE(models::SaveModelState(model, "/tmp/nope.ckpt").ok());
+  EXPECT_FALSE(models::LoadModelState(&model, "/tmp/nope.ckpt").ok());
 }
 
 TEST(CgKgrModelTest, DegreeBiasedSamplingTrains) {

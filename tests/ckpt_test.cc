@@ -23,11 +23,12 @@
 #include "ckpt/checkpoint.h"
 #include "ckpt/io.h"
 #include "common/logging.h"
+#include "common/macros.h"
+#include "core/cgkgr_model.h"
 #include "data/synthetic.h"
 #include "models/registry.h"
 #include "models/trainer_util.h"
 #include "nn/parameter.h"
-#include "nn/serialize.h"
 #include "tensor/tensor.h"
 
 namespace cgkgr {
@@ -410,33 +411,111 @@ TEST(ModelStateTest, LoadRejectsWrongModelsAndCorruption) {
   EXPECT_EQ(StatePayload(*bprmf), before);
 }
 
-TEST(ModelStateTest, DeprecatedNnSerializeWrappersStillRoundTrip) {
-  // nn::SaveParameters/LoadParameters are compatibility shims over ckpt;
-  // they must keep round-tripping a bare ParameterStore.
-  nn::ParameterStore store;
-  Rng rng(3);
-  store.Create("a", {2, 2}, nn::Init::kXavierUniform, &rng);
-  store.Create("b", {3}, nn::Init::kZeros, &rng);
-  const std::string dir = FreshDir("nn-serialize");
-  const std::string path = dir + "/params.ckpt";
-  ASSERT_TRUE(nn::SaveParameters(store, path).ok());
+TEST(ModelStateTest, CgKgrTwinPreparedWithOtherSeedScoresLikeTrainedModel) {
+  // The inference sampling stream is part of the saved state, so a model
+  // restored by LoadModelState scores like the trained one whatever seed
+  // its Prepare used.
+  const data::Dataset d = SmallDataset();
+  const core::CgKgrConfig config =
+      core::CgKgrConfig::FromPreset(SmallHparams());
+  models::TrainOptions options = BaseOptions(1);
+  options.max_epochs = 2;
+  core::CgKgrModel trained(config);
+  ASSERT_TRUE(trained.Fit(d, options).ok());
+  const std::string path = FreshDir("cgkgr-seed") + "/cgkgr.ckpt";
+  ASSERT_TRUE(models::SaveModelState(trained, path).ok());
 
+  core::CgKgrModel twin(config);
+  ASSERT_TRUE(twin.Prepare(d, options.seed + 1).ok());
+  ASSERT_TRUE(models::LoadModelState(&twin, path).ok());
+  std::vector<int64_t> users;
+  std::vector<int64_t> items;
+  for (int64_t u = 0; u < d.num_users; ++u) {
+    users.push_back(u);
+    items.push_back((u * 7) % d.num_items);
+  }
+  std::vector<float> want;
+  std::vector<float> got;
+  trained.ScorePairs(users, items, &want);
+  twin.ScorePairs(users, items, &got);
+  EXPECT_EQ(want, got);
+}
+
+// --- parameter-store records -------------------------------------------
+
+/// Publishes `store` as one committed "params" section at `path`.
+void SaveStore(const nn::ParameterStore& store, const std::string& path) {
+  Writer writer;
+  WriteParameterStore(store, &writer);
+  ASSERT_TRUE(writer.Commit(path).ok());
+}
+
+/// Reads a file written by SaveStore into `store`; open, CRC and structure
+/// failures all surface as the returned Status.
+Status LoadStore(const std::string& path, nn::ParameterStore* store) {
+  Result<Reader> opened = Reader::Open(path);
+  if (!opened.ok()) return opened.status();
+  Reader reader = std::move(opened).value();
+  CGKGR_RETURN_NOT_OK(ReadParameterStore(&reader, store));
+  EXPECT_TRUE(reader.AtEnd());
+  return Status::OK();
+}
+
+TEST(ParameterStoreRecordTest, RoundTripsBitExact) {
+  nn::ParameterStore store;
+  Rng rng(71);
+  store.Create("w", {3, 4}, nn::Init::kXavierUniform, &rng);
+  store.Create("b", {4}, nn::Init::kSmallNormal, &rng);
+  const std::string path = FreshDir("params") + "/params.ckpt";
+  SaveStore(store, path);
+
+  // Identical structure, different values.
   nn::ParameterStore other;
-  Rng rng2(4);
-  other.Create("a", {2, 2}, nn::Init::kXavierUniform, &rng2);
-  other.Create("b", {3}, nn::Init::kZeros, &rng2);
-  ASSERT_TRUE(nn::LoadParameters(&other, path).ok());
+  Rng rng2(999);
+  other.Create("w", {3, 4}, nn::Init::kXavierUniform, &rng2);
+  other.Create("b", {4}, nn::Init::kSmallNormal, &rng2);
+  ASSERT_TRUE(LoadStore(path, &other).ok());
   for (size_t p = 0; p < store.parameters().size(); ++p) {
     const tensor::Tensor& want = store.parameters()[p].value();
     const tensor::Tensor& got = other.parameters()[p].value();
-    for (int64_t i = 0; i < want.size(); ++i) EXPECT_EQ(want[i], got[i]);
+    ASSERT_TRUE(got.SameShape(want));
+    for (int64_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]);
   }
+}
 
-  // Mismatched arity is rejected.
-  nn::ParameterStore small;
-  Rng rng3(5);
-  small.Create("a", {2, 2}, nn::Init::kZeros, &rng3);
-  EXPECT_FALSE(nn::LoadParameters(&small, path).ok());
+TEST(ParameterStoreRecordTest, ReadRejectsStructureMismatch) {
+  nn::ParameterStore store;
+  Rng rng(73);
+  store.Create("w", {2, 2}, nn::Init::kXavierUniform, &rng);
+  const std::string path = FreshDir("params-mismatch") + "/params.ckpt";
+  SaveStore(store, path);
+
+  nn::ParameterStore wrong_count;
+  Rng rng2(74);
+  wrong_count.Create("w", {2, 2}, nn::Init::kXavierUniform, &rng2);
+  wrong_count.Create("extra", {1}, nn::Init::kZeros, &rng2);
+  EXPECT_FALSE(LoadStore(path, &wrong_count).ok());
+
+  nn::ParameterStore wrong_shape;
+  Rng rng3(75);
+  wrong_shape.Create("w", {4}, nn::Init::kXavierUniform, &rng3);
+  EXPECT_FALSE(LoadStore(path, &wrong_shape).ok());
+
+  nn::ParameterStore wrong_name;
+  Rng rng4(76);
+  wrong_name.Create("v", {2, 2}, nn::Init::kXavierUniform, &rng4);
+  EXPECT_FALSE(LoadStore(path, &wrong_name).ok());
+}
+
+TEST(ParameterStoreRecordTest, ReadRejectsMissingOrCorruptFile) {
+  nn::ParameterStore store;
+  Rng rng(77);
+  store.Create("w", {2}, nn::Init::kZeros, &rng);
+  const std::string dir = FreshDir("params-corrupt");
+  EXPECT_FALSE(LoadStore(dir + "/absent.ckpt", &store).ok());
+  const std::string path = dir + "/bad.ckpt";
+  WriteFile(path, "not-a-param-file\n");
+  EXPECT_FALSE(LoadStore(path, &store).ok());
 }
 
 // --- training checkpoints + exact resume -------------------------------

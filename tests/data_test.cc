@@ -6,7 +6,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "data/corruption.h"
 #include "data/dataset.h"
@@ -334,6 +337,51 @@ TEST(IoTest, SaveLoadRoundTrip) {
   }
   ASSERT_EQ(l.kg.size(), d.kg.size());
   EXPECT_EQ(l.kg.back().tail, d.kg.back().tail);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(IoTest, LoadRejectsOutOfRangeIds) {
+  // Each case appends one line to a freshly saved dataset; the load must
+  // fail with InvalidArgument naming that file and line instead of handing
+  // out-of-range IDs to the models.
+  const Dataset d = GenerateSyntheticDataset(SmallConfig(), 7);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "cgkgr_io_range").string();
+  struct Case {
+    std::string file;
+    std::string line;
+    size_t existing_lines;
+  };
+  const std::string users = std::to_string(d.num_users);
+  const std::string items = std::to_string(d.num_items);
+  const std::string entities = std::to_string(d.num_entities);
+  const std::string relations = std::to_string(d.num_relations);
+  const std::vector<Case> cases = {
+      {"train.tsv", users + "\t0", d.train.size()},
+      {"train.tsv", "0\t" + items, d.train.size()},
+      {"train.tsv", "-1\t0", d.train.size()},
+      {"eval.tsv", "0\t" + items, d.eval.size()},
+      {"test.tsv", users + "\t0", d.test.size()},
+      {"kg.tsv", entities + "\t0\t0", d.kg.size()},
+      {"kg.tsv", "0\t" + relations + "\t0", d.kg.size()},
+      {"kg.tsv", "0\t0\t" + entities, d.kg.size()},
+  };
+  for (const Case& c : cases) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    ASSERT_TRUE(SaveDataset(d, dir).ok());
+    {
+      std::ofstream out(dir + "/" + c.file, std::ios::app);
+      out << c.line << '\n';
+    }
+    Result<Dataset> loaded = LoadDataset(dir);
+    ASSERT_FALSE(loaded.ok()) << c.file << ": " << c.line;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    const std::string where =
+        c.file + ":" + std::to_string(c.existing_lines + 1) + ":";
+    EXPECT_NE(loaded.status().ToString().find(where), std::string::npos)
+        << loaded.status().ToString();
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -83,6 +83,32 @@ std::vector<ScoredItem> BruteForceTopK(models::RecommenderModel* model,
   return ranked;
 }
 
+Request MakeRequest(int64_t user, int64_t k) {
+  Request request;
+  request.user = user;
+  request.k = k;
+  return request;
+}
+
+/// The ranked list Engine::Handle returns for (user, k); a non-OK response
+/// fails the calling test.
+std::vector<ScoredItem> Rank(Engine* engine, int64_t user, int64_t k) {
+  Response response = engine->Handle(MakeRequest(user, k));
+  EXPECT_TRUE(response.ok()) << "user " << user << " k " << k;
+  return std::move(response.items);
+}
+
+/// The ranked lists Engine::HandleBatch returns, aligned with `requests`.
+std::vector<std::vector<ScoredItem>> RankBatch(
+    Engine* engine, const std::vector<Request>& requests) {
+  std::vector<std::vector<ScoredItem>> lists;
+  for (Response& response : engine->HandleBatch(requests)) {
+    EXPECT_TRUE(response.ok());
+    lists.push_back(std::move(response.items));
+  }
+  return lists;
+}
+
 // --- Snapshot ---
 
 TEST(SnapshotTest, SaveLoadRoundTripIsExact) {
@@ -210,12 +236,12 @@ TEST(EngineTest, TopKMatchesBruteForceForEveryUser) {
   for (int64_t user = 0; user < dataset.num_users; ++user) {
     const auto expected = BruteForceTopK(
         model.get(), dataset, seen[static_cast<size_t>(user)], user, 10);
-    const auto actual = engine.TopK(user, 10);
+    const auto actual = Rank(&engine, user, 10);
     ASSERT_EQ(actual, expected) << "user " << user;
   }
 }
 
-TEST(EngineTest, TopKBatchMatchesSingleCalls) {
+TEST(EngineTest, HandleBatchMatchesSingleCalls) {
   const data::Dataset dataset = SmallDataset();
   auto model = TrainedModel(dataset);
   auto snapshot = std::make_shared<const Snapshot>(
@@ -226,14 +252,14 @@ TEST(EngineTest, TopKBatchMatchesSingleCalls) {
   options.cache_capacity = 0;  // exercise the uncached path
   Engine engine(snapshot, options);
 
-  std::vector<TopKRequest> requests;
+  std::vector<Request> requests;
   for (int64_t user = 0; user < dataset.num_users; ++user) {
-    requests.push_back({user, 1 + user % 13});
+    requests.push_back(MakeRequest(user, 1 + user % 13));
   }
-  const auto batched = engine.TopKBatch(requests);
+  const auto batched = RankBatch(&engine, requests);
   ASSERT_EQ(batched.size(), requests.size());
   for (size_t r = 0; r < requests.size(); ++r) {
-    EXPECT_EQ(batched[r], engine.TopK(requests[r].user, requests[r].k))
+    EXPECT_EQ(batched[r], Rank(&engine, requests[r].user, requests[r].k))
         << "request " << r;
   }
 }
@@ -248,7 +274,7 @@ TEST(EngineTest, FilterSeenExcludesTrainItems) {
   const auto seen = dataset.BuildTrainPositives();
   for (int64_t user = 0; user < dataset.num_users; ++user) {
     const auto& user_seen = seen[static_cast<size_t>(user)];
-    for (const ScoredItem& rec : engine.TopK(user, dataset.num_items)) {
+    for (const ScoredItem& rec : Rank(&engine, user, dataset.num_items)) {
       EXPECT_FALSE(std::binary_search(user_seen.begin(), user_seen.end(),
                                       rec.item))
           << "user " << user << " got seen item " << rec.item;
@@ -266,7 +292,7 @@ TEST(EngineTest, ShortCandidateListsReturnFewerThanK) {
   snapshot.seen = {{0, 3}};
   Engine engine(std::make_shared<const Snapshot>(std::move(snapshot)),
                 EngineOptions{});
-  const auto result = engine.TopK(0, 10);
+  const auto result = Rank(&engine, 0, 10);
   const std::vector<ScoredItem> expected = {{1, 4.0f}, {2, 3.0f}, {4, 1.0f}};
   EXPECT_EQ(result, expected);
 }
@@ -288,12 +314,12 @@ TEST(EngineTest, TinyCatalogBlocksSmallerThanKAreClamped) {
   options.cache_capacity = 0;
   Engine engine(std::make_shared<const Snapshot>(std::move(snapshot)),
                 options);
-  const auto result = engine.TopK(0, 10);
+  const auto result = Rank(&engine, 0, 10);
   const std::vector<ScoredItem> expected = {
       {1, 7.0f}, {6, 4.0f}, {2, 3.0f}, {0, 1.0f}};
   EXPECT_EQ(result, expected);
   // k smaller than the surviving candidate count still truncates correctly.
-  const auto top2 = engine.TopK(0, 2);
+  const auto top2 = Rank(&engine, 0, 2);
   const std::vector<ScoredItem> expected2 = {{1, 7.0f}, {6, 4.0f}};
   EXPECT_EQ(top2, expected2);
 }
@@ -349,9 +375,9 @@ TEST(EngineTest, CacheHitsAndInvalidationOnReload) {
   options.cache_capacity = 16;
   Engine engine(std::make_shared<const Snapshot>(first), options);
 
-  const auto before = engine.TopK(0, 2);
+  const auto before = Rank(&engine, 0, 2);
   EXPECT_EQ(before.front().item, 2);
-  EXPECT_EQ(engine.TopK(0, 2), before);  // served from cache
+  EXPECT_EQ(Rank(&engine, 0, 2), before);  // served from cache
   EngineStats stats = engine.stats();
   EXPECT_EQ(stats.requests, 2);
   EXPECT_EQ(stats.cache_hits, 1);
@@ -362,7 +388,7 @@ TEST(EngineTest, CacheHitsAndInvalidationOnReload) {
   Snapshot second = first;
   second.scores = {3.0f, 2.0f, 1.0f, 3.0f, 2.0f, 1.0f};
   engine.ReloadSnapshot(std::make_shared<const Snapshot>(second));
-  const auto after = engine.TopK(0, 2);
+  const auto after = Rank(&engine, 0, 2);
   EXPECT_EQ(after.front().item, 0);
   stats = engine.stats();
   EXPECT_EQ(stats.snapshot_reloads, 1);
@@ -435,7 +461,7 @@ TEST(EngineTest, StatsTableRendersCounters) {
   snapshot.seen = {{}};
   Engine engine(std::make_shared<const Snapshot>(std::move(snapshot)),
                 EngineOptions{});
-  engine.TopK(0, 1);
+  Rank(&engine, 0, 1);
   const std::string table = engine.stats().ToTable();
   EXPECT_NE(table.find("requests"), std::string::npos);
   EXPECT_NE(table.find("p99 latency"), std::string::npos);
@@ -671,20 +697,21 @@ TEST(EngineTest, HandleBatchCoalescesDuplicates) {
   EXPECT_EQ(stats.computes, 9);
 }
 
-TEST(EngineTest, TopKBatchCoalescesDuplicatesWithIdenticalResults) {
+TEST(EngineTest, HandleBatchCoalescedListsMatchSingleRequests) {
   EngineOptions options;
   options.cache_capacity = 0;
   Engine engine(std::make_shared<const Snapshot>(TinySnapshot()), options);
-  const std::vector<TopKRequest> requests = {{0, 2}, {0, 2}, {1, 2}, {0, 2}};
-  const auto results = engine.TopKBatch(requests);
+  const std::vector<Request> requests = {MakeRequest(0, 2), MakeRequest(0, 2),
+                                         MakeRequest(1, 2), MakeRequest(0, 2)};
+  const auto results = RankBatch(&engine, requests);
   ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(results[0], results[1]);
   EXPECT_EQ(results[0], results[3]);
-  EXPECT_EQ(results[0], engine.TopK(0, 2));
-  EXPECT_EQ(results[2], engine.TopK(1, 2));
+  EXPECT_EQ(results[0], Rank(&engine, 0, 2));
+  EXPECT_EQ(results[2], Rank(&engine, 1, 2));
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.batch_coalesced, 2);
-  EXPECT_EQ(stats.computes, 4);  // 2 distinct in batch + 2 TopK checks
+  EXPECT_EQ(stats.computes, 4);  // 2 distinct in batch + 2 single checks
 }
 
 TEST(EngineTest, GenerationIsMonotonicAcrossReloadKinds) {
@@ -713,8 +740,8 @@ TEST(EngineTest, ApplyDeltaSnapshotInvalidatesOnlyTouchedRows) {
   Engine engine(std::make_shared<const Snapshot>(TinySnapshot()), options);
 
   // Warm both users' cache entries.
-  const auto user0_before = engine.TopK(0, 2);
-  const auto user1_before = engine.TopK(1, 2);
+  const auto user0_before = Rank(&engine, 0, 2);
+  const auto user1_before = Rank(&engine, 1, 2);
   EngineStats stats = engine.stats();
   EXPECT_EQ(stats.cache_misses, 2);
   EXPECT_EQ(stats.cache_hits, 0);
@@ -726,14 +753,14 @@ TEST(EngineTest, ApplyDeltaSnapshotInvalidatesOnlyTouchedRows) {
   ASSERT_TRUE(engine.ApplyDeltaSnapshot(delta.value()).ok());
 
   // User 0: row unchanged, cached list survives the reload.
-  EXPECT_EQ(engine.TopK(0, 2), user0_before);
+  EXPECT_EQ(Rank(&engine, 0, 2), user0_before);
   stats = engine.stats();
   EXPECT_EQ(stats.cache_hits, 1);
   EXPECT_EQ(stats.cache_misses, 2);
 
   // User 1: row patched, the cached list is unreachable and the fresh
   // compute reflects the new scores (9.25 on item 1 now wins).
-  const auto user1_after = engine.TopK(1, 2);
+  const auto user1_after = Rank(&engine, 1, 2);
   EXPECT_NE(user1_after, user1_before);
   EXPECT_EQ(user1_after.front().item, 1);
   stats = engine.stats();
@@ -744,7 +771,7 @@ TEST(EngineTest, ApplyDeltaSnapshotInvalidatesOnlyTouchedRows) {
   // A stale delta (built against the base we no longer serve) is refused
   // and the engine keeps serving.
   EXPECT_FALSE(engine.ApplyDeltaSnapshot(delta.value()).ok());
-  EXPECT_EQ(engine.TopK(1, 2), user1_after);
+  EXPECT_EQ(Rank(&engine, 1, 2), user1_after);
 }
 
 TEST(EngineTest, ReloadFromDirAppliesMixedSnapshotAndDeltaTimeline) {

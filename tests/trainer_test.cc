@@ -1,9 +1,10 @@
-// Tests for models/trainer_util: the shared mini-batch driver and training
-// loop plumbing every model builds on.
+// Tests for models/trainer_util and models/parallel_trainer: the shared
+// epoch driver and training-loop plumbing every model builds on.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -13,6 +14,7 @@
 
 #include "autograd/ops.h"
 #include "common/logging.h"
+#include "common/mutex.h"
 #include "data/synthetic.h"
 #include "models/parallel_trainer.h"
 #include "models/registry.h"
@@ -33,63 +35,87 @@ std::vector<graph::Interaction> MakeTrain(int64_t users, int64_t per_user) {
   return train;
 }
 
-TEST(TrainBatchTest, CoversEveryInteractionExactlyOnce) {
+/// One shard as the loss saw it: (user, positive, negative) rows.
+using ShardRows = std::vector<std::array<int64_t, 3>>;
+
+/// Runs one ParallelTrainer epoch over `train` (50 items) at `lanes` with a
+/// loss that records every shard it is handed. Returns the shards sorted:
+/// lanes run a batch's shards concurrently, so arrival order is not part of
+/// the contract, but which rows share a shard and their negatives are.
+std::vector<ShardRows> RecordEpoch(
+    const std::vector<graph::Interaction>& train,
+    const std::vector<std::vector<int64_t>>& positives, int64_t batch_size,
+    int64_t lanes, uint64_t seed) {
+  TrainOptions options;
+  options.batch_size = batch_size;
+  options.num_threads = lanes;
+  nn::ParameterStore store;
+  Rng init_rng(11);
+  nn::EmbeddingTable items(&store, "i", 50, 4, &init_rng);
+  nn::AdamOptimizer optimizer(store.parameters(), nn::AdamOptions());
+  ParallelTrainer trainer(options, &store, &optimizer);
+  Mutex mu;
+  std::vector<ShardRows> shards;
+  auto loss_fn = [&](const TrainBatch& batch, Rng* /*rng*/) {
+    EXPECT_EQ(batch.users.size(), batch.positive_items.size());
+    EXPECT_EQ(batch.users.size(), batch.negative_items.size());
+    ShardRows rows;
+    for (size_t i = 0; i < batch.users.size(); ++i) {
+      rows.push_back({batch.users[i], batch.positive_items[i],
+                      batch.negative_items[i]});
+    }
+    {
+      MutexLock lock(&mu);
+      shards.push_back(std::move(rows));
+    }
+    autograd::Variable p = items.Lookup(batch.positive_items);
+    return autograd::Mean(autograd::Mul(p, p));
+  };
+  Rng epoch_rng(seed);
+  trainer.RunEpoch(train, positives, 50, &epoch_rng, loss_fn);
+  std::sort(shards.begin(), shards.end());
+  return shards;
+}
+
+TEST(ParallelTrainerEpochTest, CoversEveryInteractionExactlyOnce) {
   const auto train = MakeTrain(10, 7);
   const auto positives = data::Dataset::BuildPositives(train, 10);
-  Rng rng(1);
-  std::multiset<std::pair<int64_t, int64_t>> seen;
-  int64_t batches = 0;
-  ForEachTrainBatch(train, positives, 50, /*batch_size=*/16, &rng,
-                    [&](const TrainBatch& batch) {
-                      ++batches;
-                      EXPECT_LE(batch.users.size(), 16u);
-                      EXPECT_EQ(batch.users.size(),
-                                batch.positive_items.size());
-                      EXPECT_EQ(batch.users.size(),
-                                batch.negative_items.size());
-                      for (size_t i = 0; i < batch.users.size(); ++i) {
-                        seen.insert({batch.users[i], batch.positive_items[i]});
-                      }
-                    });
-  EXPECT_EQ(batches, (70 + 15) / 16);
   std::multiset<std::pair<int64_t, int64_t>> expected;
   for (const auto& x : train) expected.insert({x.user, x.item});
-  EXPECT_EQ(seen, expected);
+  for (const int64_t lanes : {1, 2}) {
+    std::multiset<std::pair<int64_t, int64_t>> seen;
+    for (const ShardRows& shard :
+         RecordEpoch(train, positives, /*batch_size=*/32, lanes, 1)) {
+      EXPECT_FALSE(shard.empty());
+      EXPECT_LE(shard.size(), 32u);
+      for (const auto& row : shard) seen.insert({row[0], row[1]});
+    }
+    EXPECT_EQ(seen, expected) << "lanes=" << lanes;
+  }
 }
 
-TEST(TrainBatchTest, NegativesAreTrueNegatives) {
+TEST(ParallelTrainerEpochTest, NegativesAreTrueNegatives) {
   const auto train = MakeTrain(8, 10);
   const auto positives = data::Dataset::BuildPositives(train, 8);
-  Rng rng(2);
-  ForEachTrainBatch(train, positives, 50, 32, &rng,
-                    [&](const TrainBatch& batch) {
-                      for (size_t i = 0; i < batch.users.size(); ++i) {
-                        const auto& p = positives[static_cast<size_t>(
-                            batch.users[i])];
-                        EXPECT_FALSE(std::binary_search(
-                            p.begin(), p.end(), batch.negative_items[i]));
-                      }
-                    });
+  for (const int64_t lanes : {1, 2}) {
+    for (const ShardRows& shard : RecordEpoch(train, positives, 32, lanes, 2)) {
+      for (const auto& row : shard) {
+        const auto& p = positives[static_cast<size_t>(row[0])];
+        EXPECT_FALSE(std::binary_search(p.begin(), p.end(), row[2]))
+            << "lanes=" << lanes << " user " << row[0];
+      }
+    }
+  }
 }
 
-TEST(TrainBatchTest, ShuffleDiffersAcrossRngs) {
+TEST(ParallelTrainerEpochTest, ShuffleFollowsEpochRng) {
   const auto train = MakeTrain(10, 10);
   const auto positives = data::Dataset::BuildPositives(train, 10);
-  auto first_batch_users = [&](uint64_t seed) {
-    Rng rng(seed);
-    std::vector<int64_t> users;
-    bool captured = false;
-    ForEachTrainBatch(train, positives, 50, 16, &rng,
-                      [&](const TrainBatch& batch) {
-                        if (!captured) {
-                          users = batch.users;
-                          captured = true;
-                        }
-                      });
-    return users;
-  };
-  EXPECT_NE(first_batch_users(1), first_batch_users(2));
-  EXPECT_EQ(first_batch_users(3), first_batch_users(3));
+  const auto serial = RecordEpoch(train, positives, 32, 1, 3);
+  EXPECT_EQ(RecordEpoch(train, positives, 32, 2, 3), serial);
+  EXPECT_EQ(RecordEpoch(train, positives, 32, 1, 3), serial);
+  EXPECT_NE(RecordEpoch(train, positives, 32, 1, 4), serial);
+  EXPECT_NE(RecordEpoch(train, positives, 32, 2, 4), serial);
 }
 
 data::Dataset SmallDataset() {
