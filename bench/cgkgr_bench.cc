@@ -7,6 +7,7 @@
 //
 //   ./build/bench/cgkgr_bench                          # bench/specs/default.json
 //   ./build/bench/cgkgr_bench --spec bench/specs/smoke.json --overwrite
+//   ./build/bench/cgkgr_bench --spec bench/specs/sweeps.json
 //   ./build/bench/cgkgr_bench --spec my.json --out /tmp/artifacts
 //
 // See docs/benchmarking.md for the spec format and artifact schema.
@@ -15,14 +16,15 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
+#include "common/flags.h"
+#include "common/string_util.h"
+#include "common/table_printer.h"
 #include "exp/artifact.h"
 #include "exp/runner.h"
 #include "exp/spec.h"
 #include "obs/json.h"
 
 namespace cgkgr {
-namespace bench {
 namespace {
 
 /// "name=value name=value ..." for every metric of a row, %.5g.
@@ -47,7 +49,16 @@ int Main(int argc, char** argv) {
   flags.DefineString("scratch", "/tmp",
                      "scratch directory for scenario work files");
   flags.DefineBool("verbose", false, "log per-case progress");
-  ParseFlagsOrDie(&flags, argc, argv);
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n%s", parsed.ToString().c_str(),
+                 flags.Usage().c_str());
+    return 1;
+  }
+  if (flags.help_requested()) {
+    std::printf("%s", flags.Usage().c_str());
+    return 0;
+  }
 
   Result<exp::ExperimentSpec> spec =
       exp::ParseSpecFile(flags.GetString("spec"));
@@ -65,41 +76,35 @@ int Main(int argc, char** argv) {
   options.seed_override = static_cast<uint64_t>(flags.GetInt64("seed"));
   options.verbose = flags.GetBool("verbose");
   options.scratch_dir = flags.GetString("scratch");
-  Result<obs::Json> artifact = exp::RunSpec(spec.value(), options);
-  if (!artifact.ok()) {
+  Result<std::vector<exp::CaseResult>> rows =
+      exp::RunSpec(spec.value(), options);
+  if (!rows.ok()) {
     std::fprintf(stderr, "run failed: %s\n",
-                 artifact.status().ToString().c_str());
+                 rows.status().ToString().c_str());
     return 1;
   }
 
   TablePrinter table({"Row", "Wall (s)", "Metrics"});
-  for (const obs::Json& row : artifact.value().Get("rows")->items()) {
-    const obs::Json* metrics = row.Get("metrics");
-    table.AddRow({row.GetString("label", "?"),
-                  StrFormat("%.3f", metrics->GetDouble("wall_seconds", 0.0)),
-                  MetricsSummary(*metrics)});
+  for (const exp::CaseResult& row : rows.value()) {
+    table.AddRow({row.label,
+                  StrFormat("%.3f", row.metrics.GetDouble("wall_seconds", 0.0)),
+                  MetricsSummary(row.metrics)});
   }
   table.Print();
 
   const std::string out_dir = flags.GetString("out");
   if (out_dir.empty()) return 0;
-  Status st = exp::EnsureDirectory(out_dir);
-  const std::string path =
-      out_dir + "/" + exp::ArtifactFileName(spec.value().name);
-  if (st.ok()) {
-    st = exp::WriteArtifact(artifact.value(), path,
-                            flags.GetBool("overwrite"));
-  }
-  if (!st.ok()) {
-    std::fprintf(stderr, "artifact: %s\n", st.ToString().c_str());
+  Result<std::string> path = exp::PublishArtifact(
+      spec.value().name, rows.value(), out_dir, flags.GetBool("overwrite"));
+  if (!path.ok()) {
+    std::fprintf(stderr, "artifact: %s\n", path.status().ToString().c_str());
     return 1;
   }
-  std::printf("artifact written to %s\n", path.c_str());
+  std::printf("artifact written to %s\n", path.value().c_str());
   return 0;
 }
 
 }  // namespace
-}  // namespace bench
 }  // namespace cgkgr
 
-int main(int argc, char** argv) { return cgkgr::bench::Main(argc, argv); }
+int main(int argc, char** argv) { return cgkgr::Main(argc, argv); }

@@ -325,7 +325,9 @@ Status Reader::ReadRaw(void* out, size_t size, const char* what) {
         "%s: truncated record: %zu bytes left at offset %zu, %s needs %zu",
         origin_.c_str(), payload_.size() - pos_, pos_, what, size));
   }
-  std::memcpy(out, payload_.data() + pos_, size);
+  // An empty vector's data() may be null, and memcpy needs non-null
+  // pointers even for a zero-length copy.
+  if (size > 0) std::memcpy(out, payload_.data() + pos_, size);
   pos_ += size;
   return Status::OK();
 }

@@ -30,8 +30,8 @@ class TrialAggregator {
   const std::vector<std::string>& rows() const { return row_order_; }
 
   /// Metric names recorded under `row`, in name order (empty when the row
-  /// is unknown). Lets generic exporters — the unified bench-artifact
-  /// writer in bench/bench_common.h — walk every (row, metric) pair.
+  /// is unknown). Lets generic exporters — the paper-table artifact rows
+  /// in bench/cgkgr_paper.cc — walk every (row, metric) pair.
   std::vector<std::string> MetricNames(const std::string& row) const;
 
   /// Row (other than `exclude`) with the highest mean of `metric`.

@@ -44,8 +44,9 @@ Status Annotate(const Status& status, const std::string& context) {
   }
 }
 
-}  // namespace
-
+/// A fresh obs::ProcessStats sample rendered as the artifact's "process"
+/// section (current/peak RSS, CPU seconds, thread count). Also publishes
+/// the process_* gauges to the default registry.
 obs::Json ProcessSectionJson() {
   const obs::ProcessStats stats = obs::SampleProcessStats();
   obs::Json section = obs::Json::Object();
@@ -57,6 +58,8 @@ obs::Json ProcessSectionJson() {
   section.Set("num_threads", obs::Json::Int(stats.num_threads));
   return section;
 }
+
+}  // namespace
 
 Status EnsureDirectory(const std::string& dir) {
   if (dir.empty()) {
@@ -75,8 +78,8 @@ Status EnsureDirectory(const std::string& dir) {
   return Status::OK();
 }
 
-Result<obs::Json> RunSpec(const ExperimentSpec& spec,
-                          const RunnerOptions& options) {
+Result<std::vector<CaseResult>> RunSpec(const ExperimentSpec& spec,
+                                        const RunnerOptions& options) {
   const uint64_t base_seed =
       options.seed_override != 0 ? options.seed_override : spec.seed;
   std::vector<CaseResult> rows;
@@ -99,7 +102,13 @@ Result<obs::Json> RunSpec(const ExperimentSpec& spec,
                                 case_spec.scenario.c_str()));
     }
   }
+  return rows;
+}
 
+Result<std::string> PublishArtifact(const std::string& bench_name,
+                                    const std::vector<CaseResult>& rows,
+                                    const std::string& out_dir,
+                                    bool overwrite) {
   Result<obs::Json> metrics_dump =
       obs::Json::Parse(obs::MetricsRegistry::Default().DumpJson());
   if (!metrics_dump.ok()) {
@@ -107,20 +116,11 @@ Result<obs::Json> RunSpec(const ExperimentSpec& spec,
                             metrics_dump.status().ToString());
   }
   obs::Json artifact =
-      BuildArtifact(spec.name, rows, RunHeader(), metrics_dump.value());
+      BuildArtifact(bench_name, rows, RunHeader(), metrics_dump.value());
   artifact.Set("process", ProcessSectionJson());
-  CGKGR_RETURN_NOT_OK(ValidateArtifact(artifact));
-  return artifact;
-}
-
-Result<std::string> RunSpecToDir(const ExperimentSpec& spec,
-                                 const RunnerOptions& options,
-                                 const std::string& out_dir, bool overwrite) {
-  Result<obs::Json> artifact = RunSpec(spec, options);
-  if (!artifact.ok()) return artifact.status();
   CGKGR_RETURN_NOT_OK(EnsureDirectory(out_dir));
-  const std::string path = out_dir + "/" + ArtifactFileName(spec.name);
-  CGKGR_RETURN_NOT_OK(WriteArtifact(artifact.value(), path, overwrite));
+  const std::string path = out_dir + "/" + ArtifactFileName(bench_name);
+  CGKGR_RETURN_NOT_OK(WriteArtifact(artifact, path, overwrite));
   return path;
 }
 

@@ -15,10 +15,10 @@ namespace exp {
 
 /// \file
 /// The unified experiment runner: executes an ExperimentSpec case by case
-/// (sampling obs::ProcessStats at every case boundary) and assembles one
-/// schema-v1 artifact with per-case rows, the process section, and the
+/// (sampling obs::ProcessStats at every case boundary), and PublishArtifact
+/// writes rows as one schema-v1 artifact with the process section and the
 /// embedded MetricsRegistry dump. bench/cgkgr_bench.cc is the CLI driver;
-/// the migrated bench binaries call RunCase directly for their sweeps.
+/// bench/cgkgr_paper.cc publishes its paper tables through PublishArtifact.
 
 struct RunnerOptions {
   /// Overrides the spec's base seed when non-zero.
@@ -40,25 +40,22 @@ std::vector<std::string> MicroKernelNames();
 Status RunCase(const CaseSpec& spec, uint64_t seed,
                const RunnerOptions& options, std::vector<CaseResult>* rows);
 
-/// Executes every case of `spec` and returns the complete artifact
-/// document (header, rows, process section, metrics dump).
-Result<obs::Json> RunSpec(const ExperimentSpec& spec,
-                          const RunnerOptions& options = {});
+/// Executes every case of `spec` and returns their rows in case order.
+Result<std::vector<CaseResult>> RunSpec(const ExperimentSpec& spec,
+                                        const RunnerOptions& options = {});
 
-/// RunSpec, then atomically publishes BENCH_<spec.name>.json under
-/// `out_dir` (created when missing). Refuses to overwrite an existing
-/// artifact unless `overwrite`. Returns the written path.
-Result<std::string> RunSpecToDir(const ExperimentSpec& spec,
-                                 const RunnerOptions& options,
-                                 const std::string& out_dir, bool overwrite);
+/// Assembles the schema-v1 artifact for `rows` (run header, process
+/// section, MetricsRegistry dump) and atomically publishes it as
+/// BENCH_<bench_name>.json under `out_dir` (created when missing). Refuses
+/// to overwrite an existing artifact unless `overwrite`. Returns the
+/// written path.
+Result<std::string> PublishArtifact(const std::string& bench_name,
+                                    const std::vector<CaseResult>& rows,
+                                    const std::string& out_dir,
+                                    bool overwrite);
 
 /// Creates `dir` (and parents) when missing; OK when it already exists.
 Status EnsureDirectory(const std::string& dir);
-
-/// A fresh obs::ProcessStats sample rendered as the artifact's "process"
-/// section (current/peak RSS, CPU seconds, thread count). Also publishes
-/// the process_* gauges to the default registry.
-obs::Json ProcessSectionJson();
 
 }  // namespace exp
 }  // namespace cgkgr

@@ -104,7 +104,8 @@ models::TrainOptions MakeTrainOptions(const CaseSpec& spec,
 
 /// train: ParallelTrainer thread sweep. Reports samples/sec per thread
 /// count plus bit_identical, the determinism contract (the loss curve must
-/// match the sweep's first configuration exactly).
+/// match the sweep's first configuration exactly); a diverging thread count
+/// fails the case.
 Status RunTrainCase(const CaseSpec& spec, uint64_t seed,
                     const RunnerOptions& options,
                     std::vector<CaseResult>* rows) {
@@ -126,11 +127,15 @@ Status RunTrainCase(const CaseSpec& spec, uint64_t seed,
       const models::TrainStats& stats = model->train_stats();
       const int64_t samples =
           static_cast<int64_t>(dataset.train.size()) * stats.epochs_run;
-      const bool bit_identical =
-          reference_losses.empty() ||
-          stats.epoch_losses == reference_losses;
-      if (reference_losses.empty()) {
-        reference_losses = stats.epoch_losses;
+      if (reference_losses.empty()) reference_losses = stats.epoch_losses;
+      // The ParallelTrainer determinism contract: every thread count must
+      // reproduce the first configuration's loss curve bit for bit.
+      if (stats.epoch_losses != reference_losses) {
+        return Status::Internal(StrFormat(
+            "train %s/%s: loss curve at %lld threads diverged from %lld",
+            spec.model.c_str(), spec.dataset.c_str(),
+            static_cast<long long>(threads),
+            static_cast<long long>(spec.threads.front())));
       }
 
       CaseResult row;
@@ -153,8 +158,8 @@ Status RunTrainCase(const CaseSpec& spec, uint64_t seed,
                       obs::Json::Double(stats.epoch_losses.empty()
                                             ? 0.0
                                             : stats.epoch_losses.back()));
-      row.metrics.Set("bit_identical",
-                      obs::Json::Int(bit_identical ? 1 : 0));
+      // Always 1: a diverging loss curve fails the case above.
+      row.metrics.Set("bit_identical", obs::Json::Int(1));
       probe.Finish(&row.metrics);
       if (options.verbose) {
         CGKGR_LOG(Info) << "exp.train " << row.label << Kv(
@@ -556,11 +561,11 @@ Status RunCkptCase(const CaseSpec& spec, uint64_t seed,
 }
 
 // --- micro_ops kernels -----------------------------------------------------
-// Fixed-shape versions of the substrate microbenchmarks (formerly the
-// Google Benchmark bench_micro_ops). Each kernel runs `iters` timed
-// iterations after one untimed warmup and reports items/sec plus per-
-// iteration latency. The returned checksum defeats dead-code elimination
-// and doubles as a determinism witness (recorded informationally).
+// Fixed-shape versions of the substrate microbenchmarks. Each kernel runs
+// `iters` timed iterations after one untimed warmup and reports items/sec
+// plus per-iteration latency. The returned checksum defeats dead-code
+// elimination and doubles as a determinism witness (recorded
+// informationally).
 
 tensor::Tensor RandomTensor(std::vector<int64_t> shape, uint64_t seed) {
   Rng rng(seed);

@@ -156,6 +156,32 @@ TEST(CkptIoTest, WriterReaderRoundTripAllRecordTypes) {
   EXPECT_TRUE(reader.AtEnd());
 }
 
+TEST(CkptIoTest, EmptyRecordsRoundTrip) {
+  Writer writer;
+  writer.WriteString("");
+  writer.WriteFloats(nullptr, 0);
+  writer.WriteDoubles({});
+  writer.WriteI64s({});
+
+  Result<Reader> opened = Reader::FromFramedBytes(writer.FramedBytes());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Reader reader = std::move(opened).value();
+  std::string s = "stale";
+  ASSERT_TRUE(reader.ReadString(&s).ok());
+  EXPECT_EQ(s, "");
+  // Never-allocated vectors, whose data() is null.
+  std::vector<float> floats;
+  ASSERT_TRUE(reader.ReadFloats(&floats).ok());
+  EXPECT_TRUE(floats.empty());
+  std::vector<double> doubles;
+  ASSERT_TRUE(reader.ReadDoubles(&doubles).ok());
+  EXPECT_TRUE(doubles.empty());
+  std::vector<int64_t> i64s;
+  ASSERT_TRUE(reader.ReadI64s(&i64s).ok());
+  EXPECT_TRUE(i64s.empty());
+  EXPECT_TRUE(reader.AtEnd());
+}
+
 TEST(CkptIoTest, CommitPublishesValidatedFile) {
   const std::string dir = FreshDir("commit");
   Writer writer;

@@ -18,8 +18,9 @@
 #        CGKGR_CHECK_ASAN=1  AddressSanitizer over the memory-heavy tests
 #                            (tensor_test, autograd_test, ckpt_test).
 #        CGKGR_CHECK_UBSAN=1 UndefinedBehaviorSanitizer over the numeric
-#                            core (tensor_test, autograd_test,
-#                            cgkgr_model_test).
+#                            core and the persistence paths (tensor_test,
+#                            autograd_test, cgkgr_model_test, ckpt_test,
+#                            serve_test).
 #   4. Perf-regression gate, opt-in because it runs real training:
 #        CGKGR_CHECK_BENCH=1 runs cgkgr_bench on the committed smoke spec
 #                            (bench/specs/smoke.json), then diffs the new
@@ -112,8 +113,11 @@ else
 fi
 
 if [ "${CGKGR_CHECK_UBSAN:-0}" = "1" ]; then
+  # UBSan reports are recoverable by default and would leave the exit
+  # status 0; halt on the first one so a report fails the gate.
+  export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
   run_sanitizer UndefinedBehaviorSanitizer undefined build-ubsan \
-    tensor_test autograd_test cgkgr_model_test
+    tensor_test autograd_test cgkgr_model_test ckpt_test serve_test
 else
   echo "== UndefinedBehaviorSanitizer: SKIPPED (set CGKGR_CHECK_UBSAN=1 to enable) =="
 fi
