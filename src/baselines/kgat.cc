@@ -172,6 +172,9 @@ void Kgat::ScorePairs(const std::vector<int64_t>& users,
   CGKGR_CHECK_MSG(prepared_, "ScorePairs before Fit");
   CGKGR_CHECK(users.size() == items.size() && out != nullptr);
   autograd::NoGradGuard no_grad;
+  // A per-call copy of the inference stream: identical calls return
+  // identical scores, whatever was scored before.
+  Rng rng = inference_rng_;
   out->resize(users.size());
   constexpr size_t kChunk = 1024;
   std::vector<int64_t> user_nodes;
@@ -182,8 +185,8 @@ void Kgat::ScorePairs(const std::vector<int64_t>& users,
     for (size_t i = begin; i < end; ++i) user_nodes.push_back(
         UserNode(users[i]));
     chunk_items.assign(items.begin() + begin, items.begin() + end);
-    Variable vu = Propagate(user_nodes, &inference_rng_);
-    Variable vi = Propagate(chunk_items, &inference_rng_);
+    Variable vu = Propagate(user_nodes, &rng);
+    Variable vi = Propagate(chunk_items, &rng);
     Variable scores = autograd::RowDot(vu, vi);
     for (size_t i = begin; i < end; ++i) {
       (*out)[i] = scores.value()[static_cast<int64_t>(i - begin)];

@@ -175,6 +175,9 @@ void Kgcn::ScorePairs(const std::vector<int64_t>& users,
   CGKGR_CHECK_MSG(prepared_, "ScorePairs before Fit");
   CGKGR_CHECK(users.size() == items.size() && out != nullptr);
   autograd::NoGradGuard no_grad;
+  // A per-call copy of the inference stream: identical calls return
+  // identical scores, whatever was scored before.
+  Rng rng = inference_rng_;
   out->resize(users.size());
   constexpr size_t kChunk = 1024;
   std::vector<int64_t> chunk_users;
@@ -184,7 +187,7 @@ void Kgcn::ScorePairs(const std::vector<int64_t>& users,
     chunk_users.assign(users.begin() + begin, users.begin() + end);
     chunk_items.assign(items.begin() + begin, items.begin() + end);
     Variable scores =
-        Forward(chunk_users, chunk_items, &inference_rng_, nullptr);
+        Forward(chunk_users, chunk_items, &rng, nullptr);
     for (size_t i = begin; i < end; ++i) {
       (*out)[i] = scores.value()[static_cast<int64_t>(i - begin)];
     }

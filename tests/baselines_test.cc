@@ -101,6 +101,28 @@ TEST_P(AllModelsTest, TrainsLearnsAndScores) {
   EXPECT_FALSE(model->train_stats().epoch_losses.empty());
 }
 
+// Scoring is a pure function of the trained model: a second identical call
+// returns the first call's scores bit for bit, so eval metrics and serve
+// snapshots do not depend on what was scored before.
+TEST_P(AllModelsTest, RepeatedScorePairsAreIdentical) {
+  const data::Dataset d = TestDataset();
+  auto model = CreateModel(GetParam(), SmallHparams());
+  ASSERT_TRUE(model->Fit(d, QuickTrain(2)).ok());
+  std::vector<int64_t> users;
+  std::vector<int64_t> items;
+  for (int64_t u = 0; u < d.num_users; ++u) {
+    for (int64_t i = 0; i < 8; ++i) {
+      users.push_back(u);
+      items.push_back((u + 7 * i) % d.num_items);
+    }
+  }
+  std::vector<float> first;
+  std::vector<float> second;
+  model->ScorePairs(users, items, &first);
+  model->ScorePairs(users, items, &second);
+  EXPECT_EQ(first, second) << GetParam();
+}
+
 INSTANTIATE_TEST_SUITE_P(Registry, AllModelsTest,
                          ::testing::ValuesIn(AllModelNames()));
 
